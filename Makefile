@@ -6,6 +6,12 @@
 #                     tier structure)
 #   make test-full    everything test-fast runs plus the differential
 #                     matrix (same as `make test`, named for symmetry)
+#   make test-differential
+#                     only the differential matrix: every replay variant
+#                     bit-for-bit against the (reference, heap) oracle
+#   make perfbench    the repository benchmark (perfbench/, BENCHMARK.json);
+#                     WORKLOAD=all|paper_cell|scale_trunk|service_mix|
+#                     cluster_stream, SEED=1
 #   make bench        full perf benchmark (writes benchmarks/out/BENCH_pipeline.json)
 #   make bench-smoke  quick perf-regression gate: REPRO_ITERATIONS=10,
 #                     fails on a >3x stage slowdown vs the recorded
@@ -38,8 +44,12 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast test-full bench bench-smoke bench-record \
-	topo-smoke fault-smoke cluster-smoke policy-smoke service-smoke
+WORKLOAD ?= all
+SEED ?= 1
+
+.PHONY: test test-fast test-full test-differential perfbench bench \
+	bench-smoke bench-record topo-smoke fault-smoke cluster-smoke \
+	policy-smoke service-smoke
 
 test:
 	$(PY) -m pytest -x -q
@@ -49,6 +59,13 @@ test-fast:
 
 test-full:
 	$(PY) -m pytest -x -q
+
+test-differential:
+	$(PY) -m pytest -x -q -m differential
+
+perfbench:
+	python3 perfbench/run.py --workload $(WORKLOAD) --seed $(SEED) \
+		--seconds 15 --trace 0
 
 bench:
 	$(PY) -m repro.cli bench

@@ -137,6 +137,18 @@ class Topology:
     ``num_hosts`` / ``num_switches`` so :meth:`validate` is generic.
     ``family`` names the builder that produced the graph (reporting and
     the bench's topology dimension).
+
+    Route enumeration runs on an **integer view** of the graph, built on
+    the first routing query (``validate()``'s connectivity check, so in
+    practice at :meth:`finalize`): the node list in sorted ``NodeId``
+    order, the node -> position index, and each node's neighbour
+    positions in adjacency order (ascending, since :meth:`finalize`
+    sorts adjacency).  Breadth-first distances and the minimal-path walk
+    then touch only ints; ``NodeId`` tuples appear only in the paths
+    :meth:`candidate_paths` returns (the node list's own objects).  The
+    view, like the distance and path caches built on it, lives as long
+    as the topology: the graph must not change after :meth:`finalize`
+    (builders only :meth:`connect` before it).
     """
 
     spec: object
@@ -145,11 +157,13 @@ class Topology:
     adjacency: dict[NodeId, list[NodeId]] = field(default_factory=dict)
     edges: list[tuple[NodeId, NodeId]] = field(default_factory=list)
     family: str = "xgft"
-    #: per-destination BFS distance maps and per-pair candidate path
-    #: sets, both pure functions of the graph (safe to cache for the
-    #: topology's whole lifetime)
+    #: per-destination BFS distance lists (over the integer view) and
+    #: per-pair candidate path sets, both pure functions of the graph
+    #: (safe to cache for the topology's whole lifetime)
     _dist_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _path_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    #: ``(nodes, index, adjacency)`` integer view, built lazily
+    _int_view: tuple | None = field(default=None, repr=False, compare=False)
 
     def connect(self, a: NodeId, b: NodeId) -> None:
         """Add one physical cable (both adjacency directions + edge)."""
@@ -218,25 +232,53 @@ class Topology:
 
     # -- generic routing substrate ------------------------------------------
 
-    def _distances_to(self, target: NodeId) -> dict[NodeId, int]:
-        """Hop distances of every reachable node to ``target`` (BFS)."""
+    def _graph(self) -> tuple:
+        """The integer view ``(nodes, index, adjacency)`` (class doc)."""
 
-        cached = self._dist_cache.get(target)
-        if cached is not None:
-            return cached
-        dist = {target: 0}
+        view = self._int_view
+        if view is None:
+            nodes = sorted(self.adjacency)
+            index = {node: i for i, node in enumerate(nodes)}
+            adj = [
+                tuple([index[nb] for nb in self.adjacency[node]])
+                for node in nodes
+            ]
+            view = self._int_view = (nodes, index, adj)
+        return view
+
+    def _int_distances(self, target: int) -> list[int]:
+        """Hop distance of every node position to position ``target``
+        (BFS over the integer view; -1 = unreachable)."""
+
+        dist = self._dist_cache.get(target)
+        if dist is not None:
+            return dist
+        adj = self._graph()[2]
+        dist = [-1] * len(adj)
+        dist[target] = 0
         frontier = [target]
+        d = 0
         while frontier:
-            nxt: list[NodeId] = []
+            d += 1
+            nxt: list[int] = []
             for node in frontier:
-                d = dist[node] + 1
-                for nb in self.adjacency[node]:
-                    if nb not in dist:
+                for nb in adj[node]:
+                    if dist[nb] < 0:
                         dist[nb] = d
                         nxt.append(nb)
             frontier = nxt
         self._dist_cache[target] = dist
         return dist
+
+    def _distances_to(self, target: NodeId) -> dict[NodeId, int]:
+        """Hop distances of every reachable node to ``target`` (BFS)."""
+
+        nodes, index, _ = self._graph()
+        return {
+            nodes[i]: d
+            for i, d in enumerate(self._int_distances(index[target]))
+            if d >= 0
+        }
 
     def candidate_paths(
         self, src_host: int, dst_host: int, max_paths: int = MAX_CANDIDATE_PATHS
@@ -259,33 +301,36 @@ class Topology:
         if src == dst:
             paths: tuple[tuple[NodeId, ...], ...] = ((src,),)
         else:
-            dist = self._distances_to(dst)
-            if src not in dist:
+            nodes, index, adj = self._graph()
+            target = index[dst]
+            dist = self._int_distances(target)
+            if dist[index[src]] < 0:
                 raise ValueError(
                     f"hosts {src_host} and {dst_host} are disconnected"
                 )
-            # cached per (pair, max_paths): a truncated enumeration must
-            # never be served to a caller asking for a larger cap
-            found: list[tuple[NodeId, ...]] = []
-            stack: list[NodeId] = [src]
+            # depth-first over the shortest-path DAG, neighbours in
+            # sorted order: the lexicographically first paths come first
+            found: list[tuple[int, ...]] = []
+            stack = [index[src]]
 
-            def extend(node: NodeId) -> None:
-                if len(found) >= max_paths:
-                    return
-                if node == dst:
+            def extend(node: int) -> None:
+                if node == target:
                     found.append(tuple(stack))
                     return
                 want = dist[node] - 1
-                for nb in self.adjacency[node]:
-                    if dist.get(nb) == want:
+                for nb in adj[node]:
+                    if dist[nb] == want:
                         stack.append(nb)
                         extend(nb)
                         stack.pop()
                         if len(found) >= max_paths:
                             return
 
-            extend(src)
-            paths = tuple(found)
+            if max_paths > 0:
+                extend(stack[0])
+            # cached per (pair, max_paths): a truncated enumeration must
+            # never be served to a caller asking for a larger cap
+            paths = tuple(tuple([nodes[i] for i in p]) for p in found)
         self._path_cache[key] = paths
         return paths
 

@@ -149,12 +149,14 @@ class ManagedLink:
         self.counters.shutdowns += 1
         return True
 
-    def request_full(self, t_us: float) -> float:
+    def request_full(self, t_us: float, link: Link | None = None) -> float:
         """A transfer needs full width at ``t_us``; return when usable.
 
         This is the misprediction path: in the well-predicted case the
         timer has already fired and :meth:`_settle` has returned the link
-        to FULL before anything asks for it.
+        to FULL before anything asks for it.  ``link`` (the hop's link,
+        passed by the replay's power hook) is not needed here: this
+        controller owns exactly one link.
         """
 
         self._settle(t_us)

@@ -94,13 +94,17 @@ class PowerPolicy(Protocol):
 
     :class:`~repro.power.controller.ManagedLink`, :class:`LeveledLink`,
     :class:`IdleGatedLink` and :class:`GatedSwitch` all conform.
+    ``request_full``'s ``link`` is the link of the hop that asks (the
+    replay's power hook passes it); the reactive controllers fold its
+    channels into their traffic watermark, the others ignore it, and a
+    call without it is answered exactly all the same.
     """
 
     def worthwhile(self, predicted_idle_us: float) -> bool: ...
 
     def shutdown(self, t_off_us: float, timer_us: float) -> bool: ...
 
-    def request_full(self, t_us: float) -> float: ...
+    def request_full(self, t_us: float, link: Link | None = None) -> float: ...
 
     def finish(self, t_end_us: float) -> None: ...
 
@@ -576,7 +580,7 @@ class LeveledLink:
         self.counters.shutdowns += 1
         return True
 
-    def request_full(self, t_us: float) -> float:
+    def request_full(self, t_us: float, link: Link | None = None) -> float:
         self._settle(t_us)
         mode = self.link.mode
         if mode is LinkPowerMode.FULL:
@@ -663,6 +667,24 @@ class IdleGatedLink:
     gap it just observed from the channels' busy logs (deterministic:
     both kernels issue identical transfer sequences), charges it to the
     energy account, and returns when the link is usable.
+
+    **Deciding the common case in O(1).**  Most arrivals land inside the
+    hysteresis window of earlier traffic and change nothing.  The exact
+    test needs the *watermark* — the latest busy end over all
+    ``channels`` (and any pending reactivation) — which for a switch
+    means scanning every port's two channels.  The controller instead
+    keeps ``_seen_end_us``, a running lower bound of the watermark: the
+    hop's ``link`` (when the caller passes it; it must be a link whose
+    channels are among ``channels``) folds its two channels'
+    ``next_free_us`` in, and a channel's ``next_free_us`` is its last
+    busy end, which never decreases.  An arrival with
+    ``ready <= t <= bound + gate_after_us`` is therefore inside the
+    window for certain and returns at once.  Only when the bound cannot
+    decide does the controller scan every channel
+    (:meth:`_last_traffic_end_us`); that scan is the one exact path —
+    it yields the watermark :meth:`_descend` charges from — and it
+    resets the bound to the exact value.  Answers are identical with or
+    without ``link``; the bound only decides how often the scan runs.
     """
 
     channels: tuple
@@ -673,6 +695,11 @@ class IdleGatedLink:
     counters: PowerEventCounters = field(default_factory=PowerEventCounters)
     #: reactivation in flight until this instant (0 = none pending)
     _ready_us: float = 0.0
+    #: lower bound of :meth:`_last_traffic_end_us` (see the class doc)
+    _seen_end_us: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        self._seen_end_us = self._ready_us
 
     @classmethod
     def create(
@@ -735,7 +762,7 @@ class IdleGatedLink:
             cursor = max(deact_end, cursor + self.gate_after_us)
         return reached
 
-    def request_full(self, t_us: float) -> float:
+    def request_full(self, t_us: float, link: Link | None = None) -> float:
         if t_us < self._ready_us:
             # a previous arrival already triggered the reactivation;
             # this transfer just waits out the remainder
@@ -743,7 +770,20 @@ class IdleGatedLink:
             self.counters.late_reactivations += 1
             self.counters.total_penalty_us += penalty
             return self._ready_us
+        seen = self._seen_end_us
+        if link is not None:
+            end = link.forward.next_free_us
+            if end > seen:
+                seen = end
+            end = link.backward.next_free_us
+            if end > seen:
+                seen = end
+            self._seen_end_us = seen
+        if t_us <= seen + self.gate_after_us:
+            # inside the hysteresis window of traffic already seen
+            return t_us
         u = self._last_traffic_end_us()
+        self._seen_end_us = u
         if t_us <= u + self.gate_after_us:
             # busy, draining, or inside the hysteresis window: full width
             return t_us
@@ -756,6 +796,7 @@ class IdleGatedLink:
         self.account.switch_mode(start, LinkPowerMode.TRANSITION)
         self.account.switch_mode(ready, LinkPowerMode.FULL)
         self._ready_us = ready
+        self._seen_end_us = ready
         self.counters.shutdowns += 1
         self.counters.emergency_reactivations += 1
         self.counters.total_penalty_us += ready - t_us
@@ -780,6 +821,13 @@ class GatedSwitch:
     the switch's *other* (non-link) power component — the Section VI
     deep-sleep extension, now driven by the policy registry and rolled
     up per switch by :func:`repro.power.switchpower.fabric_switch_rollup`.
+
+    The replay registers :attr:`gate` itself on every port link, so a
+    hop pays one call and no wrapper.  Each hop folds its port's two
+    channels into the gate's watermark bound, which decides the common
+    in-window arrival in O(1); the scan over all ``2 x ports`` channels
+    runs only when the bound cannot decide (the contract is spelled out
+    on :class:`IdleGatedLink`).
     """
 
     node: object
@@ -826,8 +874,8 @@ class GatedSwitch:
     def shutdown(self, t_off_us: float, timer_us: float) -> bool:
         return False
 
-    def request_full(self, t_us: float) -> float:
-        return self.gate.request_full(t_us)
+    def request_full(self, t_us: float, link: Link | None = None) -> float:
+        return self.gate.request_full(t_us, link)
 
     def finish(self, t_end_us: float) -> None:
         self.gate.finish(t_end_us)

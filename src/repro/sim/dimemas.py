@@ -290,7 +290,9 @@ def replay_managed(
     # for the whole replay, so id() is stable and probe-allocation-free.
     # A link with several controllers (a trunk's idle gate composed with
     # its endpoint switches' gates) maps to a tuple; the transfer waits
-    # for all of them (the components reactivate in parallel).
+    # for all of them (the components reactivate in parallel).  Each
+    # controller gets the link, so the reactive ones can fold its
+    # channels into their watermark bound and skip their full scan.
     managed: dict[int, object] = {}
 
     def power_hook(link: Link, t_us: float) -> float:
@@ -300,11 +302,11 @@ def replay_managed(
         if type(ml) is tuple:
             ready = t_us
             for c in ml:
-                r = c.request_full(t_us)
+                r = c.request_full(t_us, link)
                 if r > ready:
                     ready = r
             return ready
-        return ml.request_full(t_us)
+        return ml.request_full(t_us, link)
 
     engine, fabric, world = _build_world(
         trace, cfg, power_hook=power_hook, fabric=fabric
@@ -439,8 +441,9 @@ def _build_policy_controllers(
 ) -> tuple[list, list, list]:
     """Instantiate the policy spec's controllers over one fabric.
 
-    Registers every controller in ``managed`` (keyed by link identity)
-    and returns ``(rank_links, trunk_links, gated_switches)``:
+    Registers every controller in ``managed`` (keyed by link identity;
+    a switch registers its :attr:`~GatedSwitch.gate` on each port) and
+    returns ``(rank_links, trunk_links, gated_switches)``:
     ``rank_links[rank]`` is that rank's prediction-driven HCA controller
     (None when the hca class is unmanaged), the other two are the
     reactive controllers in deterministic (sorted-node) order.
@@ -493,14 +496,16 @@ def _build_policy_controllers(
         for node in sorted(fabric.switches):
             gs = GatedSwitch.create(fabric.switches[node], spec.switch)
             gated_switches.append(gs)
+            # the hook calls the switch's gate itself: no wrapper per hop
+            gate = gs.gate
             for link in fabric.switches[node].ports:
                 prev = managed.get(id(link))
                 if prev is None:
-                    managed[id(link)] = gs
+                    managed[id(link)] = gate
                 elif type(prev) is tuple:
-                    managed[id(link)] = prev + (gs,)
+                    managed[id(link)] = prev + (gate,)
                 else:
-                    managed[id(link)] = (prev, gs)
+                    managed[id(link)] = (prev, gate)
                 link.mode = LinkPowerMode.LOW
     return rank_links, trunk_links, gated_switches
 
