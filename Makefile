@@ -12,6 +12,10 @@
 #   make perfbench    the repository benchmark (perfbench/, BENCHMARK.json);
 #                     WORKLOAD=all|paper_cell|scale_trunk|service_mix|
 #                     cluster_stream, SEED=1
+#   make perfbench-ab paired A/B of the benchmark against a base commit
+#                     (tools/perfbench_ab.py): WORKLOAD, BASE=HEAD~1,
+#                     PAIRS=10, SEED=1; prints per-pair ratios, medians,
+#                     quartiles and win counts per end-to-end metric
 #   make bench        full perf benchmark (writes benchmarks/out/BENCH_pipeline.json)
 #   make bench-smoke  quick perf-regression gate: REPRO_ITERATIONS=10,
 #                     fails on a >3x stage slowdown vs the recorded
@@ -46,9 +50,11 @@ export PYTHONPATH := src
 
 WORKLOAD ?= all
 SEED ?= 1
+BASE ?= HEAD~1
+PAIRS ?= 10
 
-.PHONY: test test-fast test-full test-differential perfbench bench \
-	bench-smoke bench-record topo-smoke fault-smoke cluster-smoke \
+.PHONY: test test-fast test-full test-differential perfbench perfbench-ab \
+	bench bench-smoke bench-record topo-smoke fault-smoke cluster-smoke \
 	policy-smoke service-smoke
 
 test:
@@ -66,6 +72,10 @@ test-differential:
 perfbench:
 	python3 perfbench/run.py --workload $(WORKLOAD) --seed $(SEED) \
 		--seconds 15 --trace 0
+
+perfbench-ab:
+	python3 tools/perfbench_ab.py --workload $(WORKLOAD) --base $(BASE) \
+		--pairs $(PAIRS) --seed $(SEED)
 
 bench:
 	$(PY) -m repro.cli bench

@@ -518,7 +518,15 @@ class ClusterScheduler:
     # -- the run -------------------------------------------------------------
 
     def run(self) -> float:
-        """Replay the whole stream; returns the cluster makespan."""
+        """Replay the whole stream; returns the cluster makespan.
+
+        The engine and every job's world are closed on the way out,
+        raised or not: the worlds' power hook is a bound method of this
+        scheduler and the engine's blocked reporter is too, so closing
+        is what lets a finished cluster replay be freed by reference
+        counting.  The results (:meth:`baseline_result`,
+        :meth:`managed_result`) read only what closing keeps.
+        """
 
         for run in (
             _JobRun(cj=cj, live_ranks=cj.job.nranks)
@@ -532,6 +540,10 @@ class ClusterScheduler:
             exec_time = self.engine.run()
         except FabricPartitioned as exc:
             raise exc.with_blocked(self.engine.blocked_names()) from None
+        finally:
+            for world in self._worlds:
+                world.close()
+            self.engine.close()
         if self.managed:
             for ml in self._open_episode.values():
                 ml.finish(exec_time)

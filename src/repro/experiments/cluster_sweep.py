@@ -45,6 +45,7 @@ from ..cluster import (
     replay_cluster_baseline,
     replay_cluster_managed,
 )
+from ..collector import collector_paused
 from ..concurrency import (
     ResultJournal,
     resolve_cell_retries,
@@ -112,6 +113,7 @@ def resolve_cluster_hosts(topology: str, jobs: Sequence[Job]) -> int:
         return build_topology(topology, biggest).num_hosts
 
 
+@collector_paused()
 def run_cluster_cell(
     jobs_spec: str,
     *,

@@ -81,6 +81,7 @@ from ..core import (
     plan_trace_directives_shared,
     select_gt_detailed,
 )
+from ..collector import collector_paused
 from ..concurrency import (
     ResultJournal,
     parallel_map,
@@ -164,6 +165,7 @@ def clear_cache() -> None:
     clear_schedule_cache()
 
 
+@collector_paused()
 def run_cell(
     app: str,
     nranks: int,

@@ -273,11 +273,16 @@ class RouteTable:
             def chooser(candidates: Sequence) -> NodeId:
                 return candidates[dst_host % len(candidates)]
         else:
-            rng = np.random.default_rng(
-                (self.seed & 0xFFFFFFFFFFFFFFFF, src_host, dst_host)
-            )
+            # the pair's generator is built at the first draw: most
+            # pairs of a large fabric have one candidate path and never
+            # draw, and building a generator costs more than routing
+            rng = None
+            seed = (self.seed & 0xFFFFFFFFFFFFFFFF, src_host, dst_host)
 
             def chooser(candidates: Sequence) -> NodeId:
+                nonlocal rng
+                if rng is None:
+                    rng = np.random.default_rng(seed)
                 return candidates[int(rng.integers(len(candidates)))]
 
         return route_with_chooser(self.topo, src_host, dst_host, chooser)

@@ -328,6 +328,9 @@ class Topology:
 
             if max_paths > 0:
                 extend(stack[0])
+            # the closure refers to itself through its cell: drop it so
+            # each enumerated pair does not leave a reference cycle
+            del extend
             # cached per (pair, max_paths): a truncated enumeration must
             # never be served to a caller asking for a larger cap
             paths = tuple(tuple([nodes[i] for i in p]) for p in found)

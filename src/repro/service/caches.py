@@ -36,6 +36,7 @@ import json
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, is_dataclass
 
+from ..collector import collector_paused
 from ..core import RuntimeConfig, plan_trace_directives_shared, select_gt_detailed
 from ..network.faults import NO_FAULTS
 from ..network.topologies import DEFAULT_TOPOLOGY
@@ -340,6 +341,7 @@ class WarmPipeline:
             plan=plan, params=params, replay_cfg=replay_cfg,
         )
 
+    @collector_paused()
     def query(self, spec: dict) -> tuple[dict, list[str]]:
         """Serve one cell query; returns ``(payload, stages_ran)``.
 

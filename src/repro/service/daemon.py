@@ -57,6 +57,7 @@ import threading
 import time
 from dataclasses import asdict, dataclass
 
+from ..collector import collector_stats
 from ..concurrency import (
     CellExecutionError,
     resolve_workers,
@@ -600,4 +601,5 @@ class ServiceDaemon:
             "requests": counters,
             "caches": self.pipeline.cache_stats(),
             "stage_runs": dict(self.pipeline.stage_runs),
+            "gc": collector_stats(),
         }

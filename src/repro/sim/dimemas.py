@@ -240,7 +240,7 @@ def replay_baseline(
                 world.rank_program(proc.rank, proc.records),
                 name=f"rank{proc.rank}",
             )
-    exec_time = _run_engine(engine)
+    exec_time = _run_engine(engine, world)
     return BaselineResult(
         trace_name=trace.name,
         nranks=trace.nranks,
@@ -362,7 +362,7 @@ def replay_managed(
                 ),
                 name=f"rank{proc.rank}",
             )
-    exec_time = _run_engine(engine)
+    exec_time = _run_engine(engine, world)
 
     hca_links = [ml for ml in rank_links if ml is not None]
     for ml in hca_links:
@@ -510,16 +510,23 @@ def _build_policy_controllers(
     return rank_links, trunk_links, gated_switches
 
 
-def _run_engine(engine: Engine) -> float:
+def _run_engine(engine: Engine, world: MPIWorld) -> float:
     """Run to completion; a partition surfaces with the blocked ranks.
 
     :class:`FabricPartitioned` unwinds from inside a transfer with the
     fault timeline attached; enriching it here with the engine's blocked
     processes turns "the run died" into a readable report on both
     kernels, within bounded simulated time (no wall-clock hang).
+
+    The engine and world are closed on the way out, raised or not, so
+    the finished replay holds no reference cycle; what the result is
+    built from (event logs, spawn count, the fabric) stays readable.
     """
 
     try:
         return engine.run()
     except FabricPartitioned as exc:
         raise exc.with_blocked(engine.blocked_names()) from None
+    finally:
+        world.close()
+        engine.close()

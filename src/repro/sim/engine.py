@@ -231,7 +231,19 @@ _QueueEntry = tuple
 
 
 class Engine:
-    """The event loop."""
+    """The event loop.
+
+    Teardown contract: a drained engine is a reference cycle until
+    :meth:`close` runs — the ``_schedule`` closure holds the engine,
+    pooled signals point back at it (``Signal.engine``) and
+    ``blocked_reporter`` is usually a bound method of an object that
+    holds the engine.  Every replay driver closes its engine once the
+    run is over, so a finished replay is freed by reference counting
+    alone and the cell pipeline can run with the cyclic collector
+    paused (:mod:`repro.collector`).  Any new back-reference into the
+    engine must be dropped in :meth:`close`;
+    ``tests/integration/test_cycle_free_pipeline.py`` fails otherwise.
+    """
 
     # slots: the scheduling hot paths touch these attributes per event;
     # ``_schedule`` is a slot (not a method) bound per instance to the
@@ -528,6 +540,25 @@ class Engine:
     @property
     def unfinished(self) -> int:
         return self._active
+
+    def close(self) -> None:
+        """Drop every reference that makes this engine a cycle.
+
+        Called by the replay drivers once the run is over (also when it
+        raised; the blocked-rank report is taken before).  The clock,
+        ``spawn_count`` and ``scheduler_stats()`` stay readable; the
+        engine cannot run again.
+        """
+
+        for sig in self._signal_pool:
+            sig.engine = None
+        self._signal_pool = []
+        self._processes = []
+        self._queue = []
+        if self.scheduler == "calendar":
+            self._buckets = []
+        self._schedule = None
+        self.blocked_reporter = None
 
     # -- internals -------------------------------------------------------------
 

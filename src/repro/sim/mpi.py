@@ -229,7 +229,17 @@ class _RendezvousSend:
 
 
 class MPIWorld:
-    """Shared state of one replay: engine + fabric + matching layer."""
+    """Shared state of one replay: engine + fabric + matching layer.
+
+    Teardown contract: pooled :class:`_RendezvousSend` continuations
+    point back at the world (``.world``), and ``power_hook`` may be a
+    bound method of an object that holds the world (the cluster
+    scheduler's hook).  The replay drivers call :meth:`close` once the
+    run is over, next to :meth:`Engine.close`, so a finished replay is
+    cycle-free.  Any new back-reference into the world must be dropped
+    in :meth:`close`; ``tests/integration/test_cycle_free_pipeline.py``
+    fails otherwise.
+    """
 
     def __init__(
         self,
@@ -272,6 +282,16 @@ class MPIWorld:
         self.name_prefix = name_prefix
         self._isend_names = [f"{name_prefix}isend{r}" for r in range(nranks)]
         engine.blocked_reporter = self._blocked_helpers
+
+    def close(self) -> None:
+        """Drop the references that make this world part of a cycle.
+
+        ``event_logs``, ``helper_spawns`` and the fabric stay readable,
+        so results can be assembled after (or before) closing.
+        """
+
+        self._rdv_pool = []
+        self.power_hook = None
 
     # -------------------------------------------------------------- pooling
 

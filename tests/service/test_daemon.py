@@ -4,6 +4,7 @@ pinned against in-process daemons with the test failpoints armed."""
 
 from __future__ import annotations
 
+import gc
 import os
 import threading
 import time
@@ -42,6 +43,21 @@ def test_ping_and_stats(daemon_factory):
     assert stats["queue_limit"] == 8
     assert stats["requests"]["admitted"] == 0
     assert set(stats["caches"]) == {"cells", "results"}
+
+
+def test_stats_reports_the_collector(daemon_factory):
+    daemon, client = daemon_factory()
+    before = client.stats()["gc"]
+    assert len(before["collections"]) == len(before["collected"]) == 3
+    client.cell(**SMALL_SPEC)
+    after = client.stats()["gc"]
+    # lifetime counters never go back; an idle daemon holds no pause
+    assert all(a >= b for a, b in zip(after["collections"],
+                                      before["collections"]))
+    assert all(a >= b for a, b in zip(after["collected"],
+                                      before["collected"]))
+    assert after["pause_depth"] == 0
+    assert gc.isenabled()
 
 
 def test_warm_equals_cold_with_stage_counters(daemon_factory):
