@@ -15,7 +15,9 @@
 #   make perfbench-ab paired A/B of the benchmark against a base commit
 #                     (tools/perfbench_ab.py): WORKLOAD, BASE=HEAD~1,
 #                     PAIRS=10, SEED=1; prints per-pair ratios, medians,
-#                     quartiles and win counts per end-to-end metric
+#                     quartiles, win counts and a verdict (gain /
+#                     regression / unresolved / no regression) per
+#                     end-to-end metric
 #   make bench        full perf benchmark (writes benchmarks/out/BENCH_pipeline.json)
 #   make bench-smoke  quick perf-regression gate: REPRO_ITERATIONS=10,
 #                     fails on a >3x stage slowdown vs the recorded

@@ -123,14 +123,14 @@ class ClusterJob:
     the isolated per-job pipeline: ``programs`` is the compiled program
     set for the fast kernel (directive-woven for a managed run, the
     base set for a baseline run; ``None`` on the reference kernel,
-    which interprets ``trace`` records), ``directives`` the per-rank
-    directive dicts for the reference kernel, and
-    ``isolated_exec_time_us`` the job's *isolated* managed span — the
-    reference for slowdown-vs-isolated.
+    which interprets ``trace`` records — so ``trace`` is only needed
+    there), ``directives`` the per-rank directive dicts for the
+    reference kernel, and ``isolated_exec_time_us`` the job's
+    *isolated* managed span — the reference for slowdown-vs-isolated.
     """
 
     job: Job
-    trace: object
+    trace: object | None = None
     programs: object | None = None
     directives: Sequence[dict] | None = None
     grouping_thresholds_us: Sequence[float] = ()
@@ -620,7 +620,10 @@ class ClusterScheduler:
             )
             job_results.append(
                 ManagedResult(
-                    trace_name=cj.trace.name,
+                    trace_name=(
+                        cj.programs.trace_name if cj.programs is not None
+                        else cj.trace.name
+                    ),
                     nranks=cj.job.nranks,
                     exec_time_us=span,
                     baseline_exec_time_us=cj.isolated_exec_time_us,

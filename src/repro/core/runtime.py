@@ -325,11 +325,21 @@ class RankPlan:
     def rebind_displacement(
         self, displacement: float
     ) -> tuple[dict[int, RankDirective], RuntimeStats]:
+        """Directives + stats for ``displacement``.
+
+        The returned dict is a shallow copy of ``directives``: only the
+        calls that get a shutdown timer receive a new
+        :class:`RankDirective`, every other entry *is* the plan's own
+        object, shared by every displacement rebound from this plan.
+        Shared directives are read-only — only the planning pass
+        (:class:`PMPIRuntime`) mutates directives, and it is done before
+        a plan exists.
+        """
+
         if not 0.0 <= displacement < 1.0:
             raise ValueError("displacement factor must be in [0, 1)")
-        directives = {
-            index: replace(d) for index, d in self.directives.items()
-        }
+        own = self.directives
+        directives = dict(own)
         planned = 0
         for cand in self.candidates:
             timer = shutdown_timer_us(
@@ -341,11 +351,11 @@ class RankPlan:
             )
             if timer is None:
                 continue
-            d = directives.get(cand.index)
-            if d is None:
-                d = RankDirective()
-                directives[cand.index] = d
-            d.shutdown_timer_us = timer
+            d = own.get(cand.index)
+            directives[cand.index] = (
+                RankDirective(shutdown_timer_us=timer) if d is None
+                else replace(d, shutdown_timer_us=timer)
+            )
             planned += 1
         stats = replace(self.stats, shutdowns_planned=planned)
         return directives, stats
@@ -360,7 +370,11 @@ class TracePlan:
     def rebind_displacement(
         self, displacement: float
     ) -> tuple[list[dict[int, RankDirective]], list[RuntimeStats]]:
-        """Directives + stats for ``displacement``, without re-planning."""
+        """Directives + stats for ``displacement``, without re-planning.
+
+        Each rank's dict shares the plan's timer-less directives (see
+        :meth:`RankPlan.rebind_displacement`); treat them as read-only.
+        """
 
         directives: list[dict[int, RankDirective]] = []
         stats: list[RuntimeStats] = []

@@ -155,14 +155,15 @@ def run_cluster_cell(
         )
         gt_us = max(cell.gt_us, params.min_worthwhile_idle_us)
         directives, _stats = cell.plan.rebind_displacement(displacement)
-        trace = make_trace(
-            job.app, job.nranks, iterations=iters, seed=seed,
-            scaling="strong",
-        )
         fast = kernel != "reference"
         prepared.append(
             dict(
-                trace=trace,
+                # only the reference kernel interprets records; the fast
+                # kernel runs the cell's compiled programs
+                trace=None if fast else make_trace(
+                    job.app, job.nranks, iterations=iters, seed=seed,
+                    scaling="strong",
+                ),
                 base_programs=cell.programs if fast else None,
                 woven_programs=(
                     cell.programs.with_directives(directives) if fast

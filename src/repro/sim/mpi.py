@@ -20,7 +20,18 @@ Protocol model:
 
 Message matching is by exact ``(source, tag)`` (traces are explicit; no
 wildcards), with the standard posted-receive / unexpected-message queues
-per rank.
+per rank.  Both are dicts keyed by ``(source, tag)`` (*matching
+tables*).  A slot holds its one pending item — a receive
+:class:`Signal` or an :class:`_Envelope` — directly; a FIFO ``deque``
+replaces it only while a second item waits on the same key (tag reuse,
+e.g. wrf).  A key is deleted the moment its last item is matched.
+Tags are unique per exchange in most traces, so a table that kept
+drained keys would grow by one empty slot per message for the whole
+replay; dropping them keeps each table as small as the set of messages
+actually in flight.  :func:`_table_put` / :func:`_table_take` own the
+format.  The fast kernel (:meth:`MPIWorld.run_program`, and
+:meth:`MPIWorld._arrive`) inlines them at each matching site and calls
+:func:`_table_put` only when a second item queues on a key.
 
 Nonblocking operations are **processless**.  An eager isend injects the
 payload at call time and its request is just the *float* completion time
@@ -104,45 +115,58 @@ class _Envelope:
     cts_signal: Signal | None = None
 
 
+def _table_put(table: dict, key: tuple[int, int], item) -> None:
+    """Queue ``item`` behind whatever already waits on ``key``.
+
+    The first item sits in the slot itself; a second one turns the slot
+    into a FIFO ``deque`` (see the module docstring).
+    """
+
+    held = table.setdefault(key, item)
+    if held is not item:
+        if held.__class__ is deque:
+            held.append(item)
+        else:
+            table[key] = deque((held, item))
+
+
+def _table_take(table: dict, key: tuple[int, int]):
+    """The oldest item waiting on ``key`` (``None`` if there is none).
+
+    The key leaves the table with its last item, so a drained slot
+    costs no memory.
+    """
+
+    held = table.pop(key, None)
+    if held.__class__ is deque:
+        fifo = held
+        held = fifo.popleft()
+        if fifo:
+            table[key] = fifo
+    return held
+
+
 @dataclass(slots=True)
 class _RankContext:
+    """One rank's matching tables and request state.
+
+    ``unexpected`` maps ``(src, tag)`` to arrived-but-unmatched
+    envelopes, ``posted`` to the completion signals of posted receives.
+    Both use the slot format of :func:`_table_put` / :func:`_table_take`:
+    one item held directly, a ``deque`` only under tag reuse, and no key
+    once nothing waits on it — after a completed replay both are empty.
+    """
+
     rank: int
-    unexpected: dict[tuple[int, int], deque] = field(default_factory=dict)
-    #: posted receives: (src, tag) -> deque of completion Signals
-    posted: dict[tuple[int, int], deque] = field(default_factory=dict)
+    unexpected: dict[tuple[int, int], _Envelope | deque] = field(
+        default_factory=dict
+    )
+    posted: dict[tuple[int, int], Signal | deque] = field(default_factory=dict)
     collective_instance: int = 0
     #: mixed completion requests: floats (processless eager ops, the
     #: value is the known completion time) and Signals (rendezvous /
     #: posted receives)
     pending_requests: list = field(default_factory=list)
-
-    def pop_unexpected(self, src: int, tag: int) -> _Envelope | None:
-        q = self.unexpected.get((src, tag))
-        if q:
-            return q.popleft()
-        return None
-
-    def pop_posted(self, src: int, tag: int) -> Signal | None:
-        q = self.posted.get((src, tag))
-        if q:
-            return q.popleft()
-        return None
-
-    def add_unexpected(self, env: _Envelope) -> None:
-        key = (env.src, env.tag)
-        q = self.unexpected.get(key)
-        if q is None:
-            self.unexpected[key] = q = deque()
-        q.append(env)
-
-    def add_posted(self, src: int, tag: int, recv: Signal) -> None:
-        # get-then-insert instead of setdefault: the hot path must not
-        # allocate a fresh deque per call just to throw it away
-        key = (src, tag)
-        q = self.posted.get(key)
-        if q is None:
-            self.posted[key] = q = deque()
-        q.append(recv)
 
 
 PowerHook = Callable[[object, float], float]
@@ -493,8 +517,14 @@ class MPIWorld:
                 for sop, peer, size, rel_tag in ins[2]:
                     if sop == STEP_RECV:
                         key = (peer, rel_tag + base_tag)
-                        q = unexpected.get(key)
-                        env = q.popleft() if q else None
+                        # inlined _table_take / _table_put, as at every
+                        # matching site of this kernel
+                        env = unexpected.pop(key, None)
+                        if env.__class__ is deque:
+                            q = env
+                            env = q.popleft()
+                            if q:
+                                unexpected[key] = q
                         if env is None:
                             if signal_pool:
                                 sig = signal_pool.pop()
@@ -503,10 +533,8 @@ class MPIWorld:
                                 sig.value = None
                             else:
                                 sig = Signal(engine, "recv")
-                            pq = posted.get(key)
-                            if pq is None:
-                                posted[key] = pq = deque()
-                            pq.append(sig)
+                            if posted.setdefault(key, sig) is not sig:
+                                _table_put(posted, key, sig)
                             yield sig
                             recycle_signal(sig)
                         elif env.is_rts:
@@ -606,8 +634,12 @@ class MPIWorld:
                 else:
                     send_done = start_rdv(rank, peer, size, tag)
                 key = (ins[5], tag)
-                q = unexpected.get(key)
-                env = q.popleft() if q else None
+                env = unexpected.pop(key, None)
+                if env.__class__ is deque:
+                    q = env
+                    env = q.popleft()
+                    if q:
+                        unexpected[key] = q
                 if env is None:
                     if signal_pool:
                         sig = signal_pool.pop()
@@ -616,10 +648,8 @@ class MPIWorld:
                         sig.value = None
                     else:
                         sig = Signal(engine, "recv")
-                    pq = posted.get(key)
-                    if pq is None:
-                        posted[key] = pq = deque()
-                    pq.append(sig)
+                    if posted.setdefault(key, sig) is not sig:
+                        _table_put(posted, key, sig)
                     yield sig
                     recycle_signal(sig)
                 elif env.is_rts:
@@ -675,8 +705,12 @@ class MPIWorld:
                         yield src_release - now_us
             elif op == OP_RECV:
                 key = (ins[2], ins[3])
-                q = unexpected.get(key)
-                env = q.popleft() if q else None
+                env = unexpected.pop(key, None)
+                if env.__class__ is deque:
+                    q = env
+                    env = q.popleft()
+                    if q:
+                        unexpected[key] = q
                 if env is None:
                     if signal_pool:
                         sig = signal_pool.pop()
@@ -685,10 +719,8 @@ class MPIWorld:
                         sig.value = None
                     else:
                         sig = Signal(engine, "recv")
-                    pq = posted.get(key)
-                    if pq is None:
-                        posted[key] = pq = deque()
-                    pq.append(sig)
+                    if posted.setdefault(key, sig) is not sig:
+                        _table_put(posted, key, sig)
                     yield sig
                     recycle_signal(sig)
                 elif env.is_rts:
@@ -724,8 +756,12 @@ class MPIWorld:
                     )
             elif op == OP_IRECV:
                 key = (ins[2], ins[3])
-                q = unexpected.get(key)
-                env = q.popleft() if q else None
+                env = unexpected.pop(key, None)
+                if env.__class__ is deque:
+                    q = env
+                    env = q.popleft()
+                    if q:
+                        unexpected[key] = q
                 if env is None:
                     if signal_pool:
                         sig = signal_pool.pop()
@@ -734,10 +770,8 @@ class MPIWorld:
                         sig.value = None
                     else:
                         sig = Signal(engine, "recv")
-                    pq = posted.get(key)
-                    if pq is None:
-                        posted[key] = pq = deque()
-                    pq.append(sig)
+                    if posted.setdefault(key, sig) is not sig:
+                        _table_put(posted, key, sig)
                     ctx.pending_requests.append(sig)
                 elif env.is_rts:
                     cts, data = env.cts_signal, env.data_signal
@@ -791,14 +825,19 @@ class MPIWorld:
     def _arrive(self, env: _Envelope) -> None:
         ctx = self.ranks[env.dst]
         key = (env.src, env.tag)
-        q = ctx.posted.get(key)
-        if not q:
-            uq = ctx.unexpected.get(key)
-            if uq is None:
-                ctx.unexpected[key] = uq = deque()
-            uq.append(env)
+        # inlined _table_take / _table_put: every message passes here
+        posted = ctx.posted
+        sig = posted.pop(key, None)
+        if sig.__class__ is deque:
+            q = sig
+            sig = q.popleft()
+            if q:
+                posted[key] = q
+        if sig is None:
+            unexpected = ctx.unexpected
+            if unexpected.setdefault(key, env) is not env:
+                _table_put(unexpected, key, env)
             return
-        sig = q.popleft()
         if env.is_rts:
             assert env.cts_signal is not None
             env.cts_signal.fire(self.engine.now)
@@ -875,10 +914,10 @@ class MPIWorld:
 
         engine = self.engine
         ctx = self.ranks[rank]
-        env = ctx.pop_unexpected(src, tag)
+        env = _table_take(ctx.unexpected, (src, tag))
         if env is None:
             sig = engine.new_signal("recv")
-            ctx.add_posted(src, tag, sig)
+            _table_put(ctx.posted, (src, tag), sig)
             yield sig
             # the signal's only waiter (this process) has been resumed
             engine.recycle_signal(sig)
@@ -960,10 +999,10 @@ class MPIWorld:
 
         engine = self.engine
         ctx = self.ranks[rank]
-        env = ctx.pop_unexpected(src, tag)
+        env = _table_take(ctx.unexpected, (src, tag))
         if env is None:
             sig = engine.new_signal("recv")
-            ctx.add_posted(src, tag, sig)
+            _table_put(ctx.posted, (src, tag), sig)
             return sig
         if env.is_rts:
             cts, data = env.cts_signal, env.data_signal

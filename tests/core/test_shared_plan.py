@@ -47,6 +47,39 @@ class TestRebindEquivalence:
             assert fast_directives == slow_directives
             assert fast_stats == slow_stats
 
+    def test_rebind_shares_untimed_directives_and_keeps_plan(self):
+        """Rebinding copies only the directives that get a timer: the
+        rest are the plan's own objects, and the plan never changes —
+        rebinding 0.01, 0.1 and 0.01 again gives each displacement its
+        dedicated pass, repr-exact."""
+
+        logs = _logs()
+        plan = plan_trace_directives_shared(logs, RuntimeConfig(gt_us=20.0))
+        own = [dict(rank.directives) for rank in plan.ranks]
+        frozen = repr([rank.directives for rank in plan.ranks])
+        timed_total = 0
+        for disp in (0.01, 0.1, 0.01):
+            directives, stats = plan.rebind_displacement(disp)
+            dedicated = plan_trace_directives(
+                logs, RuntimeConfig(gt_us=20.0, displacement=disp)
+            )
+            assert repr((directives, stats)) == repr(dedicated)
+            for rank_dirs, plan_dirs in zip(directives, own):
+                for index, d in rank_dirs.items():
+                    if d.shutdown_timer_us is None:
+                        assert d is plan_dirs[index]
+                    else:
+                        assert all(d is not p for p in plan_dirs.values())
+                        timed_total += 1
+            assert [rank.directives for rank in plan.ranks] == own
+            assert all(
+                rank.directives[i] is d
+                for rank, plan_dirs in zip(plan.ranks, own)
+                for i, d in plan_dirs.items()
+            )
+            assert repr([rank.directives for rank in plan.ranks]) == frozen
+        assert timed_total > 0
+
     def test_rebind_rejects_invalid_displacement(self):
         plan = plan_trace_directives_shared(
             [alya_like_stream(4)], RuntimeConfig(gt_us=20.0)

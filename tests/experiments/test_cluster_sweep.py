@@ -9,6 +9,7 @@ tests pin the grid fan-out bit-for-bit to the serial run.
 import pytest
 
 from repro.concurrency import unique_by
+from repro.experiments import cluster_sweep
 from repro.experiments.cluster_sweep import (
     ClusterSweepRow,
     format_cluster_sweep,
@@ -69,6 +70,50 @@ class TestSingleJobControl:
         assert mr.exec_time_us == iso.exec_time_us
         assert mr.power == iso.power
         assert mr.cluster.slowdown_vs_isolated_pct == 0.0
+
+
+class TestTraceRegeneration:
+    STREAM2 = "static:n=3,gap_us=1000,ranks=8|4,apps=alya|gromacs"
+
+    def _count_make_trace(self, monkeypatch):
+        calls = []
+        original = cluster_sweep.make_trace
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cluster_sweep, "make_trace", counting)
+        return calls
+
+    def test_fast_kernel_with_warm_memo_generates_no_trace(self, monkeypatch):
+        """The fast kernel runs the memoised cell's compiled programs and
+        names each job after them: no trace is regenerated."""
+
+        kw = dict(displacement=DISP, iterations=ITERS, seed=1234)
+        first = run_cluster_cell(self.STREAM2, **kw)  # warms the memo
+        calls = self._count_make_trace(monkeypatch)
+        again = run_cluster_cell(self.STREAM2, **kw)
+        assert calls == []
+        assert [j.trace_name for j in again.managed.jobs] == [
+            "alya", "gromacs", "alya"
+        ]
+        assert again.managed.exec_time_us == first.managed.exec_time_us
+
+    def test_reference_kernel_interprets_regenerated_traces(
+        self, monkeypatch
+    ):
+        kw = dict(displacement=DISP, iterations=ITERS, seed=1234)
+        fast = run_cluster_cell(self.STREAM2, **kw)
+        calls = self._count_make_trace(monkeypatch)
+        ref = run_cluster_cell(
+            self.STREAM2, kernel="reference", scheduler="heap", **kw
+        )
+        assert [c[:2] for c in calls] == [("alya", 8), ("gromacs", 4)]
+        assert [j.trace_name for j in ref.managed.jobs] == [
+            j.trace_name for j in fast.managed.jobs
+        ]
+        assert ref.managed.exec_time_us == fast.managed.exec_time_us
 
 
 class TestSweep:

@@ -16,10 +16,11 @@ record the first one left: a change in any result fails that run.
 
 For every end-to-end metric of ``BENCHMARK.json`` it prints each pair's
 ratio (this tree / base), each side's median and quartiles, the median
-ratio and how many pairs this tree won.  A gain is worth claiming when
-it wins at least nine of ten pairs and the median moves by more than
-the base's interquartile range.  The exit code is 0 only when every run
-printed ``"correct": true``.
+ratio, how many pairs this tree won, and a verdict (:func:`verdict`):
+``gain``, ``regression``, ``unresolved`` or ``no regression``, read
+against the metric's bound in ``BENCHMARK.json`` and each run's
+``failed`` / ``attempted`` counts.  The exit code is 0 only when every
+run printed ``"correct": true``.
 """
 
 from __future__ import annotations
@@ -79,10 +80,68 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def pair_wins(base: list[float], head: list[float], better: str) -> int:
+    """Pairs in which this tree reads better; ties count for neither."""
+
+    if better == "lower":
+        return sum(1 for b, h in zip(base, head) if h < b)
+    return sum(1 for b, h in zip(base, head) if h > b)
+
+
+def verdict(base: list[float], head: list[float], *, better: str,
+            bound: float, base_failed: float = 0.0,
+            head_failed: float = 0.0) -> str:
+    """How one metric of paired runs reads against the parent.
+
+    ``base`` and ``head`` are the per-pair values (pair ``i`` is
+    ``base[i]`` against ``head[i]``), ``better`` is ``"lower"`` or
+    ``"higher"``, ``bound`` the metric's relative regression bound and
+    ``*_failed`` each side's share of failed operations.  In order:
+
+    - ``gain``: this tree wins at least nine tenths of the pairs (ties
+      count for neither), its median is better by more than the base's
+      interquartile range, and it failed no larger share of operations;
+    - ``regression``: the median is worse than the base's by more than
+      ``bound``;
+    - ``unresolved``: the base's IQR / median exceeds ``bound``, unless
+      every run of this tree beats every base run;
+    - ``no regression`` otherwise.
+    """
+
+    sign = 1.0 if better == "lower" else -1.0
+    wins = pair_wins(base, head, better)
+    b1, b_med, b3 = quartiles(base)
+    h_med = quartiles(head)[1]
+    gap = sign * (b_med - h_med)
+    if (10 * wins >= 9 * len(base) and gap > b3 - b1
+            and head_failed <= base_failed):
+        return "gain"
+    if -gap > bound * abs(b_med):
+        return "regression"
+    if better == "lower":
+        all_better = max(head) < min(base)
+    else:
+        all_better = min(head) > max(base)
+    if (b3 - b1) > bound * abs(b_med) and not all_better:
+        return "unresolved"
+    return "no regression"
+
+
+def failed_share(runs: list[dict]) -> float:
+    """Failed operations over attempted ones, pooled over ``runs``."""
+
+    attempted = sum(r.get("attempted", 0) for r in runs)
+    failed = sum(r.get("failed", 0) for r in runs)
+    return failed / attempted if attempted else 0.0
+
+
 def report(workload: str, runs: list[dict[str, dict]]) -> None:
     """Print the paired comparison of one workload's runs."""
 
     print(f"\n== {workload}: {len(runs)} pairs (ratio = this tree / base)")
+    base_failed = failed_share([r["base"] for r in runs])
+    head_failed = failed_share([r["head"] for r in runs])
+    print(f"failed operations: base {base_failed:.2%}  this {head_failed:.2%}")
     for metric in end_to_end_metrics():
         name = metric["name"]
         pairs = [(r["base"]["metrics"][name]["value"],
@@ -95,8 +154,7 @@ def report(workload: str, runs: list[dict[str, dict]]) -> None:
         base = [b for b, _ in pairs]
         head = [h for _, h in pairs]
         ratios = [h / b if b else float("nan") for b, h in pairs]
-        lower = metric["better"] == "lower"
-        wins = sum(1 for r in ratios if (r < 1.0 if lower else r > 1.0))
+        wins = pair_wins(base, head, metric["better"])
         bq = quartiles(base)
         hq = quartiles(head)
         print(f"{name} ({metric['unit']}, {metric['better']} is better)")
@@ -105,6 +163,10 @@ def report(workload: str, runs: list[dict[str, dict]]) -> None:
         print(f"  this  median {hq[1]:.4g}  quartiles [{hq[0]:.4g}, {hq[2]:.4g}]")
         print(f"  median ratio {statistics.median(ratios):.3f}  "
               f"wins {wins}/{len(ratios)}")
+        print("  verdict: " + verdict(
+            base, head, better=metric["better"], bound=metric["bound"],
+            base_failed=base_failed, head_failed=head_failed,
+        ))
 
 
 def compare(args, workload: str, base_dir: str, out: str) -> bool:
